@@ -147,14 +147,18 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The handler is installed before the server starts, so a signal
+	// sent as soon as the address line appears is always caught: it
+	// drains (or reloads) instead of killing the process outright.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigs)
 	bound, err := sv.Start(*addr)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "transnserve: serving generation %d on %s\n", sv.Generation(), bound)
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
 	for sig := range sigs {
 		switch sig {
 		case syscall.SIGHUP:

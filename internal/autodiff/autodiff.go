@@ -7,7 +7,9 @@
 // Usage: create a Tape, lift parameters and constants into Tensors with
 // Param/Constant, compose ops (MatMul, Relu, SoftmaxRows, ...), reduce to
 // a scalar loss, then call Backward. Gradients accumulate into the Grad
-// field of every Tensor with RequiresGrad set.
+// field of every Tensor with RequiresGrad set. A training loop that runs
+// the same graph many times calls Reset between passes: the tape then
+// hands the previous pass's matrices out again instead of allocating.
 package autodiff
 
 import (
@@ -28,39 +30,104 @@ type Tensor struct {
 }
 
 // Tape records the computation graph in creation order so Backward can
-// replay it in reverse. A Tape is single-use per forward pass; call Reset
-// to reuse the node storage for the next pass.
+// replay it in reverse. It owns every Tensor and matrix its ops hand
+// out: op values, gradients (Param gradients included), backward
+// temporaries and op state such as LayerNormRows' inverse standard
+// deviations. Only the matrices passed to Param and Constant stay the
+// caller's.
+//
+// A tape serves one forward/backward pass at a time. Reset starts the
+// next pass and recycles everything the tape handed out, in the order it
+// was handed out, so a tape that rebuilds a graph of the same shapes
+// allocates nothing for its matrices and Tensors after the first pass.
+// Every Tensor, Value and Grad obtained from the tape is invalid after
+// Reset; Clone whatever must outlive the pass. Reuse changes no
+// arithmetic: a recycled matrix is zeroed exactly as a new one, so a
+// graph yields the same bits on a reset tape as on a fresh one.
 type Tape struct {
-	nodes []*Tensor
+	nodes   []*Tensor
+	tensors pool[Tensor]
+	mats    pool[mat.Dense]
 }
 
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
-// Reset drops all recorded nodes, keeping the backing slice.
-func (tp *Tape) Reset() { tp.nodes = tp.nodes[:0] }
+// Reset ends the current pass: it drops the recorded graph and recycles
+// every Tensor and matrix the tape handed out (see Tape).
+func (tp *Tape) Reset() {
+	tp.nodes = tp.nodes[:0]
+	tp.tensors.reset()
+	tp.mats.reset()
+}
 
 // Len returns the number of recorded nodes.
 func (tp *Tape) Len() int { return len(tp.nodes) }
 
-func (tp *Tape) record(t *Tensor) *Tensor {
-	tp.nodes = append(tp.nodes, t)
+func (tp *Tape) record(t Tensor) *Tensor {
+	p := tp.tensors.next()
+	*p = t
+	tp.nodes = append(tp.nodes, p)
+	return p
+}
+
+// newMat returns a zeroed r×c matrix owned by the tape, recycling the
+// storage of the matrix handed out at the same position in an earlier
+// pass when it is large enough.
+func (tp *Tape) newMat(r, c int) *mat.Dense {
+	m := tp.mats.next()
+	if n := r * c; cap(m.Data) < n {
+		m.Data = make([]float64, n)
+	} else {
+		m.Data = m.Data[:n]
+		clear(m.Data)
+	}
+	m.R, m.C = r, c
+	return m
+}
+
+// like returns a zeroed tape-owned matrix shaped like m.
+func (tp *Tape) like(m *mat.Dense) *mat.Dense { return tp.newMat(m.R, m.C) }
+
+// pool hands out *T from blocks that double in size and are never
+// reallocated, so handed-out pointers stay valid. reset rewinds it: the
+// same items come out again in the same order.
+type pool[T any] struct {
+	blocks   [][]T
+	blk, off int
+}
+
+func (p *pool[T]) next() *T {
+	if p.blk < len(p.blocks) && p.off == len(p.blocks[p.blk]) {
+		p.blk, p.off = p.blk+1, 0
+	}
+	if p.blk == len(p.blocks) {
+		size := 8
+		if n := len(p.blocks); n > 0 {
+			size = 2 * len(p.blocks[n-1])
+		}
+		p.blocks = append(p.blocks, make([]T, size))
+	}
+	t := &p.blocks[p.blk][p.off]
+	p.off++
 	return t
 }
+
+func (p *pool[T]) reset() { p.blk, p.off = 0, 0 }
 
 // Param lifts v into the graph as a trainable leaf. The returned tensor
 // aliases v, so optimizer updates through Value are seen by later passes.
 func (tp *Tape) Param(v *mat.Dense) *Tensor {
-	return tp.record(&Tensor{
+	return tp.record(Tensor{
 		Value:        v,
-		Grad:         mat.New(v.R, v.C),
+		Grad:         tp.like(v),
 		RequiresGrad: true,
 	})
 }
 
 // Constant lifts v into the graph as a non-trainable leaf.
 func (tp *Tape) Constant(v *mat.Dense) *Tensor {
-	return tp.record(&Tensor{Value: v})
+	return tp.record(Tensor{Value: v})
 }
 
 // Backward runs reverse-mode accumulation from loss, which must be a 1x1
@@ -76,7 +143,7 @@ func (tp *Tape) Backward(loss *Tensor) {
 		}
 	}
 	if loss.Grad == nil {
-		loss.Grad = mat.New(1, 1)
+		loss.Grad = tp.newMat(1, 1)
 	}
 	loss.Grad.Set(0, 0, 1)
 	// Nodes are recorded in topological (creation) order; reverse it.
@@ -98,38 +165,38 @@ func needGrad(ts ...*Tensor) bool {
 	return false
 }
 
-// newResult allocates an op output, wiring RequiresGrad and Grad storage.
+// newResult records an op output, wiring RequiresGrad and Grad storage.
 func (tp *Tape) newResult(v *mat.Dense, requires bool) *Tensor {
-	t := &Tensor{Value: v, RequiresGrad: requires}
+	t := Tensor{Value: v, RequiresGrad: requires}
 	if requires {
-		t.Grad = mat.New(v.R, v.C)
+		t.Grad = tp.like(v)
 	}
 	return tp.record(t)
 }
 
 // ensureGrad lazily allocates grad storage for a leaf that participates in
 // a differentiable op (covers constants feeding grad-requiring paths).
-func ensureGrad(t *Tensor) {
+func (tp *Tape) ensureGrad(t *Tensor) {
 	if t.RequiresGrad && t.Grad == nil {
-		t.Grad = mat.New(t.Value.R, t.Value.C)
+		t.Grad = tp.like(t.Value)
 	}
 }
 
 // MatMul returns a·b.
 func (tp *Tape) MatMul(a, b *Tensor) *Tensor {
-	v := mat.MatMul(nil, a.Value, b.Value)
+	v := mat.MatMul(tp.newMat(a.Value.R, b.Value.C), a.Value, b.Value)
 	out := tp.newResult(v, needGrad(a, b))
 	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
+		tp.ensureGrad(a)
+		tp.ensureGrad(b)
 		out.back = func() {
 			if a.RequiresGrad {
 				// dA += dOut · Bᵀ
-				mat.AddScaled(a.Grad, 1, mat.MatMulT(nil, out.Grad, b.Value))
+				mat.AddScaled(a.Grad, 1, mat.MatMulT(tp.like(a.Value), out.Grad, b.Value))
 			}
 			if b.RequiresGrad {
 				// dB += Aᵀ · dOut
-				mat.AddScaled(b.Grad, 1, mat.TMatMul(nil, a.Value, out.Grad))
+				mat.AddScaled(b.Grad, 1, mat.TMatMul(tp.like(b.Value), a.Value, out.Grad))
 			}
 		}
 	}
@@ -138,19 +205,19 @@ func (tp *Tape) MatMul(a, b *Tensor) *Tensor {
 
 // MatMulT returns a·bᵀ.
 func (tp *Tape) MatMulT(a, b *Tensor) *Tensor {
-	v := mat.MatMulT(nil, a.Value, b.Value)
+	v := mat.MatMulT(tp.newMat(a.Value.R, b.Value.R), a.Value, b.Value)
 	out := tp.newResult(v, needGrad(a, b))
 	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
+		tp.ensureGrad(a)
+		tp.ensureGrad(b)
 		out.back = func() {
 			if a.RequiresGrad {
 				// out = A·Bᵀ ⇒ dA += dOut · B
-				mat.AddScaled(a.Grad, 1, mat.MatMul(nil, out.Grad, b.Value))
+				mat.AddScaled(a.Grad, 1, mat.MatMul(tp.like(a.Value), out.Grad, b.Value))
 			}
 			if b.RequiresGrad {
 				// dB += dOutᵀ · A
-				mat.AddScaled(b.Grad, 1, mat.TMatMul(nil, out.Grad, a.Value))
+				mat.AddScaled(b.Grad, 1, mat.TMatMul(tp.like(b.Value), out.Grad, a.Value))
 			}
 		}
 	}
@@ -159,11 +226,11 @@ func (tp *Tape) MatMulT(a, b *Tensor) *Tensor {
 
 // Add returns a+b (same shape).
 func (tp *Tape) Add(a, b *Tensor) *Tensor {
-	v := mat.Add(nil, a.Value, b.Value)
+	v := mat.Add(tp.like(a.Value), a.Value, b.Value)
 	out := tp.newResult(v, needGrad(a, b))
 	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
+		tp.ensureGrad(a)
+		tp.ensureGrad(b)
 		out.back = func() {
 			if a.RequiresGrad {
 				mat.AddScaled(a.Grad, 1, out.Grad)
@@ -178,11 +245,11 @@ func (tp *Tape) Add(a, b *Tensor) *Tensor {
 
 // Sub returns a-b (same shape).
 func (tp *Tape) Sub(a, b *Tensor) *Tensor {
-	v := mat.Sub(nil, a.Value, b.Value)
+	v := mat.Sub(tp.like(a.Value), a.Value, b.Value)
 	out := tp.newResult(v, needGrad(a, b))
 	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
+		tp.ensureGrad(a)
+		tp.ensureGrad(b)
 		out.back = func() {
 			if a.RequiresGrad {
 				mat.AddScaled(a.Grad, 1, out.Grad)
@@ -197,17 +264,17 @@ func (tp *Tape) Sub(a, b *Tensor) *Tensor {
 
 // ElemMul returns the Hadamard product a⊙b.
 func (tp *Tape) ElemMul(a, b *Tensor) *Tensor {
-	v := mat.ElemMul(nil, a.Value, b.Value)
+	v := mat.ElemMul(tp.like(a.Value), a.Value, b.Value)
 	out := tp.newResult(v, needGrad(a, b))
 	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
+		tp.ensureGrad(a)
+		tp.ensureGrad(b)
 		out.back = func() {
 			if a.RequiresGrad {
-				mat.AddScaled(a.Grad, 1, mat.ElemMul(nil, out.Grad, b.Value))
+				mat.AddScaled(a.Grad, 1, mat.ElemMul(tp.like(a.Value), out.Grad, b.Value))
 			}
 			if b.RequiresGrad {
-				mat.AddScaled(b.Grad, 1, mat.ElemMul(nil, out.Grad, a.Value))
+				mat.AddScaled(b.Grad, 1, mat.ElemMul(tp.like(b.Value), out.Grad, a.Value))
 			}
 		}
 	}
@@ -216,10 +283,10 @@ func (tp *Tape) ElemMul(a, b *Tensor) *Tensor {
 
 // Scale returns s*a.
 func (tp *Tape) Scale(s float64, a *Tensor) *Tensor {
-	v := mat.Scale(nil, s, a.Value)
+	v := mat.Scale(tp.like(a.Value), s, a.Value)
 	out := tp.newResult(v, a.RequiresGrad)
 	if out.RequiresGrad {
-		ensureGrad(a)
+		tp.ensureGrad(a)
 		out.back = func() { mat.AddScaled(a.Grad, s, out.Grad) }
 	}
 	return out
@@ -231,7 +298,8 @@ func (tp *Tape) AddColBroadcast(a, b *Tensor) *Tensor {
 	if b.Value.C != 1 || b.Value.R != a.Value.R {
 		panic(fmt.Sprintf("autodiff: AddColBroadcast wants %dx1 bias, got %dx%d", a.Value.R, b.Value.R, b.Value.C))
 	}
-	v := a.Value.Clone()
+	v := tp.like(a.Value)
+	copy(v.Data, a.Value.Data)
 	for i := 0; i < v.R; i++ {
 		bi := b.Value.At(i, 0)
 		row := v.Row(i)
@@ -241,8 +309,8 @@ func (tp *Tape) AddColBroadcast(a, b *Tensor) *Tensor {
 	}
 	out := tp.newResult(v, needGrad(a, b))
 	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
+		tp.ensureGrad(a)
+		tp.ensureGrad(b)
 		out.back = func() {
 			if a.RequiresGrad {
 				mat.AddScaled(a.Grad, 1, out.Grad)
@@ -267,7 +335,8 @@ func (tp *Tape) AddRowBroadcast(a, b *Tensor) *Tensor {
 	if b.Value.R != 1 || b.Value.C != a.Value.C {
 		panic(fmt.Sprintf("autodiff: AddRowBroadcast wants 1x%d bias, got %dx%d", a.Value.C, b.Value.R, b.Value.C))
 	}
-	v := a.Value.Clone()
+	v := tp.like(a.Value)
+	copy(v.Data, a.Value.Data)
 	brow := b.Value.Row(0)
 	for i := 0; i < v.R; i++ {
 		row := v.Row(i)
@@ -277,8 +346,8 @@ func (tp *Tape) AddRowBroadcast(a, b *Tensor) *Tensor {
 	}
 	out := tp.newResult(v, needGrad(a, b))
 	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
+		tp.ensureGrad(a)
+		tp.ensureGrad(b)
 		out.back = func() {
 			if a.RequiresGrad {
 				mat.AddScaled(a.Grad, 1, out.Grad)
@@ -299,10 +368,10 @@ func (tp *Tape) AddRowBroadcast(a, b *Tensor) *Tensor {
 
 // Relu returns max(0, a) elementwise.
 func (tp *Tape) Relu(a *Tensor) *Tensor {
-	v := mat.Relu(nil, a.Value)
+	v := mat.Relu(tp.like(a.Value), a.Value)
 	out := tp.newResult(v, a.RequiresGrad)
 	if out.RequiresGrad {
-		ensureGrad(a)
+		tp.ensureGrad(a)
 		out.back = func() {
 			for i, av := range a.Value.Data {
 				if av > 0 {
@@ -316,13 +385,13 @@ func (tp *Tape) Relu(a *Tensor) *Tensor {
 
 // Sigmoid returns 1/(1+exp(-a)) elementwise.
 func (tp *Tape) Sigmoid(a *Tensor) *Tensor {
-	v := mat.New(a.Value.R, a.Value.C)
+	v := tp.like(a.Value)
 	for i, x := range a.Value.Data {
 		v.Data[i] = sigmoid(x)
 	}
 	out := tp.newResult(v, a.RequiresGrad)
 	if out.RequiresGrad {
-		ensureGrad(a)
+		tp.ensureGrad(a)
 		out.back = func() {
 			for i, s := range out.Value.Data {
 				a.Grad.Data[i] += out.Grad.Data[i] * s * (1 - s)
@@ -334,13 +403,13 @@ func (tp *Tape) Sigmoid(a *Tensor) *Tensor {
 
 // Tanh returns tanh(a) elementwise.
 func (tp *Tape) Tanh(a *Tensor) *Tensor {
-	v := mat.New(a.Value.R, a.Value.C)
+	v := tp.like(a.Value)
 	for i, x := range a.Value.Data {
 		v.Data[i] = math.Tanh(x)
 	}
 	out := tp.newResult(v, a.RequiresGrad)
 	if out.RequiresGrad {
-		ensureGrad(a)
+		tp.ensureGrad(a)
 		out.back = func() {
 			for i, th := range out.Value.Data {
 				a.Grad.Data[i] += out.Grad.Data[i] * (1 - th*th)
@@ -352,10 +421,10 @@ func (tp *Tape) Tanh(a *Tensor) *Tensor {
 
 // SoftmaxRows applies softmax independently to each row of a.
 func (tp *Tape) SoftmaxRows(a *Tensor) *Tensor {
-	v := mat.SoftmaxRows(nil, a.Value)
+	v := mat.SoftmaxRows(tp.like(a.Value), a.Value)
 	out := tp.newResult(v, a.RequiresGrad)
 	if out.RequiresGrad {
-		ensureGrad(a)
+		tp.ensureGrad(a)
 		out.back = func() {
 			// For each row: dx_j = s_j * (g_j - Σ_k g_k s_k).
 			for i := 0; i < v.R; i++ {
@@ -377,11 +446,11 @@ func (tp *Tape) SoftmaxRows(a *Tensor) *Tensor {
 
 // SumAll reduces a to a 1x1 tensor containing the sum of all elements.
 func (tp *Tape) SumAll(a *Tensor) *Tensor {
-	v := mat.New(1, 1)
+	v := tp.newMat(1, 1)
 	v.Set(0, 0, a.Value.Sum())
 	out := tp.newResult(v, a.RequiresGrad)
 	if out.RequiresGrad {
-		ensureGrad(a)
+		tp.ensureGrad(a)
 		out.back = func() {
 			g := out.Grad.At(0, 0)
 			for i := range a.Grad.Data {

@@ -9,10 +9,11 @@ import (
 // GradCheck compares the analytic gradient of loss(params) with a central
 // finite-difference estimate and returns the largest relative error seen.
 //
-// lossFn must rebuild the graph from scratch on a fresh tape each call,
-// run Backward, and return the scalar loss tensor together with the
-// tape's Param tensors for the supplied matrices (same order). params are
-// perturbed in place and restored.
+// lossFn must rebuild the graph from scratch each call, on a fresh tape
+// or on one it Resets first, run Backward, and return the scalar loss
+// tensor together with the tape's Param tensors for the supplied
+// matrices (same order). GradCheck copies what it needs from each result
+// before the next call. params are perturbed in place and restored.
 func GradCheck(params []*mat.Dense, lossFn func() (*Tensor, []*Tensor), eps float64) float64 {
 	// Analytic pass.
 	_, pts := lossFn()

@@ -1,10 +1,6 @@
 package autodiff
 
-import (
-	"math"
-
-	"transn/internal/mat"
-)
+import "math"
 
 // LayerNormRows normalizes each row of x to zero mean and unit variance
 // (no learnable affine): y = (x − μ)/√(σ² + ε). It is the stabilizer
@@ -12,8 +8,8 @@ import (
 func (tp *Tape) LayerNormRows(x *Tensor) *Tensor {
 	const eps = 1e-5
 	r, c := x.Value.R, x.Value.C
-	v := mat.New(r, c)
-	invStd := make([]float64, r)
+	v := tp.newMat(r, c)
+	invStd := tp.newMat(r, 1).Data
 	for i := 0; i < r; i++ {
 		row := x.Value.Row(i)
 		var mean float64
@@ -36,7 +32,7 @@ func (tp *Tape) LayerNormRows(x *Tensor) *Tensor {
 	}
 	out := tp.newResult(v, x.RequiresGrad)
 	if out.RequiresGrad {
-		ensureGrad(x)
+		tp.ensureGrad(x)
 		out.back = func() {
 			// dL/dx = invStd · (g − mean(g) − y·mean(g⊙y)) per row.
 			for i := 0; i < r; i++ {

@@ -10,12 +10,12 @@ import (
 // SparseMatMul returns s·x for a constant sparse matrix s. Gradients flow
 // to x only: dX += sᵀ·dOut.
 func (tp *Tape) SparseMatMul(s *mat.Sparse, x *Tensor) *Tensor {
-	v := s.Mul(nil, x.Value)
+	v := s.Mul(tp.newMat(s.R, x.Value.C), x.Value)
 	out := tp.newResult(v, x.RequiresGrad)
 	if out.RequiresGrad {
-		ensureGrad(x)
+		tp.ensureGrad(x)
 		out.back = func() {
-			mat.AddScaled(x.Grad, 1, s.TMul(nil, out.Grad))
+			mat.AddScaled(x.Grad, 1, s.TMul(tp.like(x.Value), out.Grad))
 		}
 	}
 	return out
@@ -24,13 +24,13 @@ func (tp *Tape) SparseMatMul(s *mat.Sparse, x *Tensor) *Tensor {
 // GatherRows returns the matrix whose i-th row is x's idx[i]-th row.
 // The backward pass scatter-adds gradients into the gathered rows.
 func (tp *Tape) GatherRows(x *Tensor, idx []int) *Tensor {
-	v := mat.New(len(idx), x.Value.C)
+	v := tp.newMat(len(idx), x.Value.C)
 	for i, r := range idx {
 		v.SetRow(i, x.Value.Row(r))
 	}
 	out := tp.newResult(v, x.RequiresGrad)
 	if out.RequiresGrad {
-		ensureGrad(x)
+		tp.ensureGrad(x)
 		out.back = func() {
 			for i, r := range idx {
 				dst := x.Grad.Row(r)
@@ -47,7 +47,7 @@ func (tp *Tape) GatherRows(x *Tensor, idx []int) *Tensor {
 // SumRows reduces each row of x to a single column: out is R×1 with
 // out[i] = Σ_j x[i][j].
 func (tp *Tape) SumRows(x *Tensor) *Tensor {
-	v := mat.New(x.Value.R, 1)
+	v := tp.newMat(x.Value.R, 1)
 	for i := 0; i < x.Value.R; i++ {
 		var s float64
 		for _, e := range x.Value.Row(i) {
@@ -57,7 +57,7 @@ func (tp *Tape) SumRows(x *Tensor) *Tensor {
 	}
 	out := tp.newResult(v, x.RequiresGrad)
 	if out.RequiresGrad {
-		ensureGrad(x)
+		tp.ensureGrad(x)
 		out.back = func() {
 			for i := 0; i < x.Grad.R; i++ {
 				g := out.Grad.At(i, 0)
@@ -79,7 +79,7 @@ func (tp *Tape) LogisticLoss(scores *Tensor, labels []float64) *Tensor {
 			len(labels), scores.Value.R, scores.Value.C))
 	}
 	n := float64(len(labels))
-	v := mat.New(1, 1)
+	v := tp.newMat(1, 1)
 	var total float64
 	for i, y := range labels {
 		total += softplus(-y * scores.Value.At(i, 0))
@@ -87,7 +87,7 @@ func (tp *Tape) LogisticLoss(scores *Tensor, labels []float64) *Tensor {
 	v.Set(0, 0, total/n)
 	out := tp.newResult(v, scores.RequiresGrad)
 	if out.RequiresGrad {
-		ensureGrad(scores)
+		tp.ensureGrad(scores)
 		out.back = func() {
 			g := out.Grad.At(0, 0) / n
 			for i, y := range labels {

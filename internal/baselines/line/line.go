@@ -60,6 +60,7 @@ func (m Method) Embed(g *graph.Graph, dim int, seed int64) (*mat.Dense, error) {
 	neg := skipgram.NewNegSampler(deg)
 
 	total := g.NumEdges() * m.SamplesPerEdge
+	grad := make([]float64, model.Dim())
 	for s := 0; s < total; s++ {
 		lr := m.LR * (1 - float64(s)/float64(total))
 		if lr < m.LR*1e-4 {
@@ -68,8 +69,8 @@ func (m Method) Embed(g *graph.Graph, dim int, seed int64) (*mat.Dense, error) {
 		e := g.Edges[edgeAlias.Draw(rng)]
 		// Second-order proximity: each endpoint predicts the other as
 		// context.
-		model.TrainPair(int(e.U), int(e.V), m.Negative, lr, neg, rng)
-		model.TrainPair(int(e.V), int(e.U), m.Negative, lr, neg, rng)
+		model.TrainPair(int(e.U), int(e.V), m.Negative, lr, neg, rng, grad)
+		model.TrainPair(int(e.V), int(e.U), m.Negative, lr, neg, rng, grad)
 	}
 	return model.In, nil
 }

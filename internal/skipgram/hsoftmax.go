@@ -109,13 +109,16 @@ func NewHSoftmax(freq []float64, dim int, rng *rand.Rand) *HSoftmax {
 func (h *HSoftmax) CodeLen(n int) int { return len(h.codes[n]) }
 
 // TrainPair applies one hierarchical-softmax update for (center, context)
-// on model m and returns the loss. Only m.In and h.Vec are touched.
+// on model m and returns the loss. Only m.In and h.Vec are touched. grad
+// is caller-owned scratch of at least m.Dim() elements, zeroed here, as
+// for Model.TrainPair.
 //
 //lint:finite-checked sigmoid/log are clamped here and the trainer's per-iteration guard (transn/finite.go) sweeps losses and sampled rows
-func (h *HSoftmax) TrainPair(m *Model, center, context int, lr float64) float64 {
+func (h *HSoftmax) TrainPair(m *Model, center, context int, lr float64, grad []float64) float64 {
 	in := m.In.Row(center)
 	dim := len(in)
-	grad := make([]float64, dim)
+	grad = grad[:dim]
+	clear(grad)
 	var loss float64
 	code := h.codes[context]
 	points := h.points[context]
@@ -146,6 +149,7 @@ func (h *HSoftmax) TrainPair(m *Model, center, context int, lr float64) float64 
 // TrainCorpus runs one hierarchical-softmax pass over the corpus and
 // returns mean pair loss.
 func (h *HSoftmax) TrainCorpus(m *Model, paths [][]int, offsets []int, lr float64) float64 {
+	grad := make([]float64, m.Dim())
 	var loss float64
 	var pairs int
 	for _, p := range paths {
@@ -155,7 +159,7 @@ func (h *HSoftmax) TrainCorpus(m *Model, paths [][]int, offsets []int, lr float6
 				if j < 0 || j >= len(p) {
 					continue
 				}
-				loss += h.TrainPair(m, center, p[j], lr)
+				loss += h.TrainPair(m, center, p[j], lr, grad)
 				pairs++
 			}
 		}

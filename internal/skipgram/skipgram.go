@@ -94,6 +94,11 @@ func SymmetricOffsets(w int) []int {
 // binary cross-entropy loss of the update is returned. Negatives equal to
 // the true context are re-drawn a bounded number of times.
 //
+// grad is caller-owned scratch of at least Dim() elements; TrainPair
+// zeroes and uses its first Dim() elements, so one buffer serves every
+// pair of a pass and the update allocates nothing. A buffer must not be
+// shared between goroutines.
+//
 // All element-level access to the shared In/Out tables goes through the
 // two go:norace leaf helpers below (hogwildPairUpdate, applyRowGrad): in
 // the Hogwild mode of TrainCorpusParallel several shards apply updates
@@ -108,9 +113,12 @@ func SymmetricOffsets(w int) []int {
 // go:norace covers only the annotated body (not callees or closures), so
 // the helpers inline their dot products instead of calling mat.Dot, and
 // go:noinline stops an instrumented caller from absorbing them.
-func (m *Model) TrainPair(center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand) float64 {
+//
+//lint:alloc-free per-pair SGNS update, pinned by TestTrainPairZeroAlloc
+func (m *Model) TrainPair(center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand, grad []float64) float64 {
 	in := m.In.Row(center)
-	grad := make([]float64, len(in))
+	grad = grad[:len(in)]
+	clear(grad)
 	loss := hogwildPairUpdate(in, m.Out.Row(context), grad, 1, lr)
 	for k := 0; k < neg; k++ {
 		n := s.Draw(rng)
@@ -136,6 +144,10 @@ func (m *Model) TrainPair(center, context, neg int, lr float64, s *NegSampler, r
 //go:norace
 //go:noinline
 func hogwildPairUpdate(in, out, grad []float64, label, lr float64) float64 {
+	// Reslicing to len(in) lets the compiler drop the bounds checks in
+	// both loops. The dot product keeps one sequential accumulator: its
+	// summation order is part of the golden training bits.
+	out, grad = out[:len(in)], grad[:len(in)]
 	var dot float64
 	for i := range in {
 		dot += in[i] * out[i]
@@ -162,6 +174,7 @@ func hogwildPairUpdate(in, out, grad []float64, label, lr float64) float64 {
 //go:norace
 //go:noinline
 func applyRowGrad(in, grad []float64) {
+	grad = grad[:len(in)]
 	for i := range in {
 		in[i] -= grad[i]
 	}
@@ -180,7 +193,9 @@ func (m *Model) TrainCorpus(paths [][]int, offsets []int, neg int, lr float64, s
 
 // trainCorpus is the shared pass body: it returns the summed pair loss
 // and the pair count so sharded callers can combine shard means exactly.
+// Each pass owns one gradient scratch row shared by all of its pairs.
 func (m *Model) trainCorpus(paths [][]int, offsets []int, neg int, lr float64, s *NegSampler, rng *rand.Rand) (float64, int) {
+	grad := make([]float64, m.Dim())
 	var loss float64
 	var pairs int
 	for _, p := range paths {
@@ -193,7 +208,7 @@ func (m *Model) trainCorpus(paths [][]int, offsets []int, neg int, lr float64, s
 					// input and output tables are shared).
 					continue
 				}
-				loss += m.TrainPair(center, p[j], neg, lr, s, rng)
+				loss += m.TrainPair(center, p[j], neg, lr, s, rng, grad)
 				pairs++
 			}
 		}

@@ -256,6 +256,56 @@ func TestModelDim(t *testing.T) {
 	}
 }
 
+// TestTrainPairZeroAlloc pins the per-pair updates of both estimators at
+// zero heap allocations: the gradient row is the caller's scratch.
+func TestTrainPairZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	paths := twoClusterCorpus(rng, 10, 20)
+	freq := CorpusFrequencies(paths, 6)
+	m := NewModel(6, 64, rng)
+	s := NewNegSampler(freq)
+	h := NewHSoftmax(freq, 64, rng)
+	grad := make([]float64, m.Dim())
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.TrainPair(1, 2, 5, 0.025, s, rng, grad)
+	}); allocs != 0 {
+		t.Errorf("Model.TrainPair: %v allocs per pair, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		h.TrainPair(m, 1, 2, 0.025, grad)
+	}); allocs != 0 {
+		t.Errorf("HSoftmax.TrainPair: %v allocs per pair, want 0", allocs)
+	}
+}
+
+// TestTrainPairIgnoresScratchContents checks that a dirty, oversized
+// scratch row gives the same update, bit for bit, as a fresh one.
+func TestTrainPairIgnoresScratchContents(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base := NewModel(6, 16, rng)
+	s := NewNegSampler([]float64{1, 2, 3, 4, 5, 6})
+	run := func(grad []float64) *Model {
+		m := cloneModel(base)
+		r := rand.New(rand.NewSource(6))
+		for i := 0; i < 50; i++ {
+			m.TrainPair(i%6, (i+1)%6, 3, 0.025, s, r, grad)
+		}
+		return m
+	}
+	fresh := run(make([]float64, 16))
+	dirty := make([]float64, 40)
+	for i := range dirty {
+		dirty[i] = float64(i) - 7.5
+	}
+	got := run(dirty)
+	for i := range fresh.In.Data {
+		if math.Float64bits(fresh.In.Data[i]) != math.Float64bits(got.In.Data[i]) ||
+			math.Float64bits(fresh.Out.Data[i]) != math.Float64bits(got.Out.Data[i]) {
+			t.Fatalf("element %d differs with a dirty scratch row", i)
+		}
+	}
+}
+
 func BenchmarkSGNSPass(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	paths := twoClusterCorpus(rng, 50, 40)

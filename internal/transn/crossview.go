@@ -21,6 +21,30 @@ type crossResult struct {
 	segments       int
 }
 
+// pairScratch is one view-pair's reusable trainSegment working set: the
+// autodiff tape, the gathered path matrices and the segment's local row
+// indices in both views. trainSegment resets and refills it for every
+// segment, so a warm pair step allocates little beyond the tape's
+// per-op backward closures. A pair step runs on exactly one worker at a
+// time (in both the Hogwild and the deterministic mode), so a pair's
+// scratch is never shared between goroutines.
+type pairScratch struct {
+	tp             *autodiff.Tape
+	A, Atgt        *mat.Dense // src- and dst-view embeddings of the segment
+	srcLoc, dstLoc []int
+}
+
+// newPairScratch sizes a scratch for segments of L nodes in d dimensions.
+func newPairScratch(L, d int) *pairScratch {
+	return &pairScratch{
+		tp:     autodiff.NewTape(),
+		A:      mat.New(L, d),
+		Atgt:   mat.New(L, d),
+		srcLoc: make([]int, L),
+		dstLoc: make([]int, L),
+	}
+}
+
 // crossViewStep runs one cross-view pass for view-pair pi (Algorithm 1
 // lines 8–12): it samples common-node path segments from both
 // paired-subviews and optimizes the translation tasks T1/T2 (Eqs. 11–12)
@@ -36,6 +60,7 @@ func (m *Model) crossViewStep(pi, iter, worker int, rng *rand.Rand) crossResult 
 	span := m.tel.trace().Start(obs.SpanCrossPair).Pair(pi).Epoch(iter).Worker(worker)
 	segLoss := m.tel.segLoss.Local()
 	pr := m.pairs[pi]
+	sc := m.scratch[pi]
 	var res crossResult
 	// Side 0: paths from φ'_i, translator T_{i→j} forward; side 1: the
 	// dual direction.
@@ -48,7 +73,7 @@ func (m *Model) crossViewStep(pi, iter, worker int, rng *rand.Rand) crossResult 
 		}
 		segs := m.sampleCommonSegments(pi, side, rng)
 		for _, seg := range segs {
-			total, trans, recon := m.trainSegment(seg, src, dst, fwd, bwd)
+			total, trans, recon := m.trainSegment(sc, seg, src, dst, fwd, bwd)
 			res.loss += total
 			res.translation += trans
 			res.reconstruction += recon
@@ -117,18 +142,15 @@ func (m *Model) sampleCommonSegments(pi, side int, rng *rand.Rand) [][]graph.Nod
 // with γ_cross), matching Θ_cross of Algorithm 1. It returns the
 // segment's combined loss and its translation (Eqs. 11–12) and
 // reconstruction (Eqs. 13–14) components; a disabled task contributes
-// zero.
-func (m *Model) trainSegment(seg []graph.NodeID, src, dst int, fwd, bwd *Translator) (total, transLoss, reconLoss float64) {
+// zero. sc is the pair's scratch, sized for len(seg) == CrossPathLen;
+// everything on its tape is recycled by the next call.
+func (m *Model) trainSegment(sc *pairScratch, seg []graph.NodeID, src, dst int, fwd, bwd *Translator) (total, transLoss, reconLoss float64) {
 	srcView, dstView := m.views[src], m.views[dst]
 	srcEmb, dstEmb := m.emb[src], m.emb[dst]
-	L, d := len(seg), m.Cfg.Dim
 
-	// Gather embedding rows into path matrices (copies; gradients are
-	// scattered back after Backward).
-	A := mat.New(L, d)    // src-view embeddings of the segment
-	Atgt := mat.New(L, d) // dst-view embeddings of the segment
-	srcLoc := make([]int, L)
-	dstLoc := make([]int, L)
+	// Gather embedding rows into the path matrices (copies; gradients
+	// are scattered back after Backward).
+	A, Atgt, srcLoc, dstLoc := sc.A, sc.Atgt, sc.srcLoc, sc.dstLoc
 	for k, gid := range seg {
 		srcLoc[k] = srcView.Local(gid)
 		dstLoc[k] = dstView.Local(gid)
@@ -136,7 +158,8 @@ func (m *Model) trainSegment(seg []graph.NodeID, src, dst int, fwd, bwd *Transla
 	gatherRows(A, srcEmb.In, srcLoc)
 	gatherRows(Atgt, dstEmb.In, dstLoc)
 
-	tp := autodiff.NewTape()
+	tp := sc.tp
+	tp.Reset()
 	tA := tp.Param(A)
 	tB := tp.Param(Atgt)
 	// Both sides' embeddings are in Θ_cross (Algorithm 1). The loss

@@ -57,6 +57,8 @@ type Model struct {
 	subWalkers [][2]walk.Walker
 	// trans[p] = {T_{i→j}, T_{j→i}} for pairs[p].
 	trans [][2]*Translator
+	// scratch[p] is pair p's reusable cross-view working set.
+	scratch []*pairScratch
 	// pairRngs[p] is pair p's persistent sampling stream (streamCross).
 	// A pair step runs on at most one worker at a time, so the stream is
 	// never shared between goroutines.
@@ -369,6 +371,7 @@ func (m *Model) initPairs() {
 	m.subWalkers = make([][2]walk.Walker, len(m.pairs))
 	m.trans = make([][2]*Translator, len(m.pairs))
 	m.pairRngs = make([]*rand.Rand, len(m.pairs))
+	m.scratch = make([]*pairScratch, len(m.pairs))
 	for p, pr := range m.pairs {
 		si := graph.PairedSubview(m.views[pr.I], pr.Common)
 		sj := graph.PairedSubview(m.views[pr.J], pr.Common)
@@ -381,6 +384,7 @@ func (m *Model) initPairs() {
 				rngstream.New(m.Cfg.Seed, streamTranslator, int64(p), 1)),
 		}
 		m.pairRngs[p] = rngstream.New(m.Cfg.Seed, streamCross, int64(p))
+		m.scratch[p] = newPairScratch(m.Cfg.CrossPathLen, m.Cfg.Dim)
 	}
 }
 
